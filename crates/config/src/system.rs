@@ -254,12 +254,13 @@ pub struct SystemConfig {
     /// `muchisim-traffic` crate). `None` disables recording.
     pub noc_trace: Option<String>,
     /// Checkpoint cadence in NoC cycles: the parallel driver writes a
-    /// full-state snapshot to `checkpoint_path` at the first executed
-    /// cycle at or past each multiple (so time leaping may land the
-    /// snapshot a little late, never early). `None` disables periodic
-    /// checkpointing. Requires `checkpoint_path`; incompatible with
-    /// `frame_budget`, `frame_spill` and `noc_trace`, whose streamed /
-    /// downsampled side state is not captured by snapshots.
+    /// full-state snapshot to `checkpoint_path` at every multiple (time
+    /// leaping never skips one; a multiple inside the termination window
+    /// between two kernels, where no cycle executes, is not written).
+    /// `None` disables periodic checkpointing. Requires
+    /// `checkpoint_path`; incompatible with `frame_budget`,
+    /// `frame_spill` and `noc_trace`, whose streamed / downsampled side
+    /// state is not captured by snapshots.
     pub checkpoint_every: Option<u64>,
     /// Snapshot file path (see `muchisim-core`'s `snapshot` module for
     /// the format). Writes are atomic (temp file + rename), so the file

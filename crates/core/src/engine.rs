@@ -3,8 +3,8 @@
 use crate::app::{Application, GridInfo, OutMsg, ScheduledSend, SoftwareConfig, TaskCtx};
 use crate::counters::SimCounters;
 use crate::error::SimError;
-use crate::frames::{Frame, FrameLog, FrameSink, FrameSpill};
-use crate::horizon::ClockConv;
+use crate::frames::{frame_cadence, Frame, FrameLog, FrameSink, FrameSpill};
+use crate::horizon::{Cadence, ClockConv};
 use crate::sched::Scheduler;
 use crate::slice::ColSlice;
 use crate::tile::{HostPhaseNs, SimResult, TileEngine};
@@ -325,7 +325,8 @@ pub(crate) struct Worker<A: Application> {
     /// PU busy cycles per tile in the current statistics frame (SoA).
     pu_busy_frame: Vec<u32>,
     verbosity: Verbosity,
-    frame_interval: u64,
+    /// When statistics frames close (`None` at verbosity V0).
+    frame_cadence: Option<Cadence>,
     pointer_prefetch: bool,
     /// Per-tile pre-scheduled NoC injections (front = next due), consumed
     /// during kernel 0. Empty for ordinary applications.
@@ -441,7 +442,7 @@ impl<A: Application> Worker<A> {
             cq_wake: vec![0; n],
             pu_busy_frame: vec![0; n],
             verbosity: cfg.verbosity,
-            frame_interval: cfg.frame_interval_cycles.max(1),
+            frame_cadence: frame_cadence(cfg),
             pointer_prefetch,
             scripted,
             msg_count: 0,
@@ -864,20 +865,13 @@ impl<A: Application> Worker<A> {
 
     /// Records a statistics frame if `cycle` closes one.
     pub fn frame_tick(&mut self, shards: &mut [&mut Shard], cycle: u64) {
-        if self.verbosity == Verbosity::V0 {
-            return;
+        if let Some(c) = self.frame_cadence.filter(|c| c.is_due(cycle)) {
+            self.capture_frame(shards, cycle + 1 - c.every);
         }
-        if !(cycle + 1).is_multiple_of(self.frame_interval) {
-            return;
-        }
-        self.capture_frame(shards, cycle + 1 - self.frame_interval);
     }
 
-    /// Captures the current frame unconditionally (used at kernel end).
-    pub fn capture_frame(&mut self, shards: &mut [&mut Shard], start_cycle: u64) {
-        if self.verbosity == Verbosity::V0 {
-            return;
-        }
+    /// Closes the open frame, which started at `start_cycle`.
+    fn capture_frame(&mut self, shards: &mut [&mut Shard], start_cycle: u64) {
         let mut frame = Frame {
             start_cycle,
             tasks_delta: std::mem::take(&mut self.frame_tasks),
@@ -914,10 +908,9 @@ impl<A: Application> Worker<A> {
     /// has already closed the frame covering `cycle`; re-capturing would
     /// push an empty duplicate with the same `start_cycle`.
     pub fn close_kernel_frame(&mut self, shards: &mut [&mut Shard], cycle: u64) {
-        if self.verbosity == Verbosity::V0 || (cycle + 1).is_multiple_of(self.frame_interval) {
-            return;
+        if let Some(c) = self.frame_cadence.filter(|c| !c.is_due(cycle)) {
+            self.capture_frame(shards, cycle - cycle % c.every);
         }
-        self.capture_frame(shards, cycle - cycle % self.frame_interval);
     }
 
     /// This worker's next-event horizon after finishing `cycle`: the
@@ -957,9 +950,10 @@ impl<A: Application> Worker<A> {
     /// Applies the side effects the lockstep driver would have produced
     /// while stepping through the skipped cycles `(cycle, next)`: batch
     /// CQ-stall accounting for backpressured tiles (their state is
-    /// frozen across the gap, so the per-cycle increment is constant)
-    /// and backfilled statistics frames at every crossed boundary.
-    pub fn leap_to(&mut self, shards: &mut [&mut Shard], cycle: u64, next: u64) {
+    /// frozen across the gap, so the per-cycle increment is constant).
+    /// No observation is due inside the gap — the driver clamps every
+    /// leap to the next due cycle of each armed [`Cadence`].
+    pub fn leap_to(&mut self, cycle: u64, next: u64) {
         let skipped = next - cycle - 1;
         if skipped == 0 {
             return;
@@ -977,11 +971,6 @@ impl<A: Application> Worker<A> {
                 && self.tiles[local].cq_over(self.cq_capacity)
             {
                 self.tiles[local].counters.cq_stall_cycles += skipped;
-            }
-        }
-        if self.verbosity != Verbosity::V0 {
-            for start in self.frames.lockstep_capture_starts(cycle, next) {
-                self.capture_frame(shards, start);
             }
         }
         self.phase.net += t0.elapsed().as_nanos() as u64;

@@ -16,11 +16,13 @@
 //!   additionally be spilled to a JSONL file as it closes, so perfect
 //!   fidelity lands on disk while host memory stays O(budget).
 //!
-//! Both modes capture at the *same* cycle boundaries, so the
-//! time-leaping driver's backfill arithmetic
-//! ([`FrameLog::lockstep_capture_starts`]) is shared and stays
-//! bit-identical either way.
+//! Both modes capture on the same [`Cadence`]: a frame closes after the
+//! last cycle of every `frame_interval_cycles` block. The time-leaping
+//! driver never leaps over such a cycle, so frames are captured by the
+//! ordinary per-cycle tick in every speed mode and stay bit-identical.
 
+use crate::horizon::Cadence;
+use muchisim_config::{SystemConfig, Verbosity};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -150,25 +152,6 @@ impl FrameLog {
         self.frames.is_empty()
     }
 
-    /// The `start_cycle`s of the frames a lockstep driver would have
-    /// closed while stepping through the open interval
-    /// `(after_cycle, next_cycle)`, in order.
-    ///
-    /// The cycle driver closes a frame at the end of every cycle `c` with
-    /// `(c + 1) % interval == 0`; when the time-leaping driver jumps from
-    /// `after_cycle` straight to `next_cycle` it must backfill exactly
-    /// these captures so V1+ frame logs stay bit-identical. (The first
-    /// backfilled frame flushes whatever deltas accumulated before the
-    /// leap; the rest are idle frames, which the lockstep driver records
-    /// too.)
-    pub fn lockstep_capture_starts(
-        &self,
-        after_cycle: u64,
-        next_cycle: u64,
-    ) -> impl Iterator<Item = u64> {
-        lockstep_capture_starts(self.interval_cycles, after_cycle, next_cycle)
-    }
-
     /// Host heap bytes owned by the retained frames.
     pub fn heap_bytes(&self) -> u64 {
         self.frames.capacity() as u64 * std::mem::size_of::<Frame>() as u64
@@ -194,18 +177,10 @@ impl FrameLog {
     }
 }
 
-/// Capture boundaries shared by [`FrameLog`] and [`FrameSink`].
-fn lockstep_capture_starts(
-    interval_cycles: u64,
-    after_cycle: u64,
-    next_cycle: u64,
-) -> impl Iterator<Item = u64> {
-    let interval = interval_cycles.max(1);
-    // captures happen at cycles c = m*interval - 1 for m >= 1;
-    // we need those with after_cycle < c < next_cycle
-    let first = (after_cycle + 2).div_ceil(interval).max(1);
-    let last = next_cycle / interval; // m*interval - 1 <= next_cycle - 1
-    (first..=last).map(move |m| (m - 1) * interval)
+/// The frame-capture cadence: armed at verbosity V1 and above, due on
+/// the last cycle of every `frame_interval_cycles` block.
+pub(crate) fn frame_cadence(cfg: &SystemConfig) -> Option<Cadence> {
+    (cfg.verbosity != Verbosity::V0).then(|| Cadence::block_end(cfg.frame_interval_cycles))
 }
 
 /// A shared, locked JSONL spill target (one per simulation, written by
@@ -321,8 +296,8 @@ pub fn read_spill_jsonl(text: &str) -> Result<FrameLog, String> {
 
 /// The streaming frame collector owned by one worker.
 ///
-/// Pushes arrive at the lockstep capture boundaries (the same cadence as
-/// a plain [`FrameLog`]). In-memory retention is bounded by `budget`:
+/// Pushes arrive on the frame cadence (the same cycles as a plain
+/// [`FrameLog`]). In-memory retention is bounded by `budget`:
 /// when exceeded, adjacent frames merge pairwise and the effective
 /// interval doubles, so memory stays O(budget) for arbitrarily long
 /// runs. With no budget the sink *is* a `FrameLog` (bit-identical
@@ -368,11 +343,6 @@ impl FrameSink {
         }
     }
 
-    /// The capture cadence (the configured frame interval).
-    pub fn base_interval(&self) -> u64 {
-        self.base_interval
-    }
-
     /// Captures merged into each retained frame (1 = full resolution).
     pub fn downsample_factor(&self) -> u64 {
         self.group
@@ -386,17 +356,6 @@ impl FrameSink {
     /// The retained (possibly downsampled) log.
     pub fn log(&self) -> &FrameLog {
         &self.log
-    }
-
-    /// Same boundaries as [`FrameLog::lockstep_capture_starts`], against
-    /// the *base* interval — downsampling never changes when captures
-    /// happen, only how they are retained.
-    pub fn lockstep_capture_starts(
-        &self,
-        after_cycle: u64,
-        next_cycle: u64,
-    ) -> impl Iterator<Item = u64> {
-        lockstep_capture_starts(self.base_interval, after_cycle, next_cycle)
     }
 
     /// Accepts the frame closed at a capture boundary. `frame.index` is
@@ -532,23 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_capture_starts_match_per_cycle_stepping() {
-        for interval in [1u64, 3, 64] {
-            let log = FrameLog::new(interval);
-            for after in 0..50u64 {
-                for next in after + 1..after + 80 {
-                    let got: Vec<u64> = log.lockstep_capture_starts(after, next).collect();
-                    let want: Vec<u64> = (after + 1..next)
-                        .filter(|c| (c + 1).is_multiple_of(interval))
-                        .map(|c| c + 1 - interval)
-                        .collect();
-                    assert_eq!(got, want, "interval {interval} after {after} next {next}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_log() {
         let log = FrameLog::new(10);
         assert!(log.is_empty());
@@ -569,22 +511,6 @@ mod tests {
         let mut empty = FrameLog::new(10);
         empty.merge(&snapshot);
         assert_eq!(empty.frames, snapshot.frames);
-    }
-
-    #[test]
-    fn interval_boundary_at_cycle_zero() {
-        // with interval 1 the first capture closes at cycle 0 and covers
-        // start_cycle 0; a leap over (0, n) must backfill starts 1..n-1
-        let log = FrameLog::new(1);
-        let starts: Vec<u64> = log.lockstep_capture_starts(0, 4).collect();
-        assert_eq!(starts, vec![1, 2, 3]);
-        // no capture strictly inside an empty open interval
-        assert_eq!(log.lockstep_capture_starts(0, 1).count(), 0);
-        // interval > 1: the boundary-ending-at-cycle-0 case is m=0,
-        // which never fires (captures need a full interval)
-        let log = FrameLog::new(5);
-        assert_eq!(log.lockstep_capture_starts(0, 5).next(), Some(0));
-        assert_eq!(log.lockstep_capture_starts(0, 4).count(), 0);
     }
 
     #[test]
@@ -654,31 +580,13 @@ mod tests {
     }
 
     #[test]
-    fn sink_capture_starts_ignore_downsampling() {
-        let mut sink = FrameSink::new(3, Some(2), 0, None);
-        for _ in 0..32 {
-            sink.push(frame(0, 1));
-        }
-        assert!(sink.downsample_factor() > 1);
-        let log = FrameLog::new(3);
-        let a: Vec<u64> = sink.lockstep_capture_starts(4, 40).collect();
-        let b: Vec<u64> = log.lockstep_capture_starts(4, 40).collect();
-        assert_eq!(a, b, "capture cadence must stay at the base interval");
-    }
-
-    #[test]
     fn sink_edge_cases_mirror_the_plain_log() {
-        // empty sink merges as an empty log
         let sink = FrameSink::new(10, Some(4), 0, None);
         let mut target = FrameLog::new(10);
         target.frames.push(frame(0, 7));
         let snapshot = target.clone();
         target.merge(sink.log());
         assert_eq!(target, snapshot, "merging an empty sink is a no-op");
-        // boundary at cycle 0, through the sink's shared arithmetic
-        let sink = FrameSink::new(1, Some(4), 0, None);
-        let starts: Vec<u64> = sink.lockstep_capture_starts(0, 4).collect();
-        assert_eq!(starts, vec![1, 2, 3]);
     }
 
     #[test]

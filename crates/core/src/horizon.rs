@@ -54,6 +54,48 @@ impl EventHorizon for SharedNet {
     }
 }
 
+/// The cycles `c` with `c % every == phase` on which a periodic observer
+/// (statistics frames, telemetry samples, periodic snapshots) fires. The
+/// leaping driver clamps every leap to the earliest `next_due` of the
+/// armed cadences, so each observer fires on exactly the cycles the
+/// lockstep driver would use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cadence {
+    /// Block length in cycles.
+    pub every: u64,
+    phase: u64,
+}
+
+impl Cadence {
+    /// Due on the last cycle of each `every`-cycle block (frames, samples).
+    pub fn block_end(every: u64) -> Self {
+        let every = every.max(1);
+        Cadence {
+            every,
+            phase: every - 1,
+        }
+    }
+
+    /// Due on the first cycle of each block (snapshots).
+    pub fn block_start(every: u64) -> Self {
+        Cadence {
+            every: every.max(1),
+            phase: 0,
+        }
+    }
+
+    /// Whether the observer fires on `cycle`.
+    pub fn is_due(&self, cycle: u64) -> bool {
+        cycle % self.every == self.phase
+    }
+
+    /// The first due cycle strictly after `cycle`.
+    pub fn next_due(&self, cycle: u64) -> u64 {
+        let after = cycle + 1;
+        after + (self.phase + self.every - after % self.every) % self.every
+    }
+}
+
 /// Integer-femtosecond conversions between the PU and NoC clock domains.
 ///
 /// The lockstep driver compared clock instants with `f64` picosecond
@@ -197,6 +239,20 @@ mod tests {
         assert_eq!(c.pu_cycle_fs(3), 3_000_000);
         assert_eq!(c.noc_cycle_for_fs(3_000_000), 3);
         assert_eq!(c.noc_cycle_for_fs(3_000_001), 4);
+    }
+
+    #[test]
+    fn next_due_is_the_first_later_due_cycle() {
+        for every in [1u64, 3, 64] {
+            for cadence in [Cadence::block_end(every), Cadence::block_start(every)] {
+                for cycle in 0..4 * every + 8 {
+                    let stepped = (cycle + 1..).find(|&c| cadence.is_due(c)).unwrap();
+                    assert_eq!(cadence.next_due(cycle), stepped, "{cadence:?} at {cycle}");
+                }
+            }
+        }
+        assert!(Cadence::block_end(64).is_due(63));
+        assert!(Cadence::block_start(64).is_due(64));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! plus the cross-shard mailbox horizon, and when the earliest possible
 //! event is more than one cycle away it jumps the clock straight there.
 //! Skipped cycles are provably event-free, so the jump is exact: workers
-//! backfill the statistics frames and batch the stall counters the
-//! lockstep driver would have produced, and results stay bit-identical
-//! (see `Worker::leap_to`).
+//! batch the stall counters the lockstep driver would have produced (see
+//! `Worker::leap_to`), and results stay bit-identical. One rule keeps the
+//! periodic observers (frames, samples, snapshots) exact: a leap never
+//! skips a due cycle of any armed [`Cadence`].
 //!
 //! Because every inter-worker interaction is confined to barrier-separated
 //! phases and single-producer queues, a run with N workers is
@@ -35,6 +36,8 @@
 use crate::app::Application;
 use crate::engine::{finish, SimSetup, Worker};
 use crate::error::SimError;
+use crate::frames::frame_cadence;
+use crate::horizon::Cadence;
 use crate::tile::SimResult;
 use crate::ward::{TileDiag, WardReport};
 use muchisim_config::SystemConfig;
@@ -113,10 +116,12 @@ struct SyncState {
     max_pu_fs: Vec<AtomicU64>,
     /// Cycle at which the current kernel drained.
     drained_cycle: AtomicU64,
+    /// The armed observation cadences (frames, samples, snapshots).
+    cadences: Vec<Cadence>,
 }
 
 impl SyncState {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, cadences: Vec<Cadence>) -> Self {
         SyncState {
             barrier: SpinBarrier::new(n),
             stop: AtomicBool::new(false),
@@ -126,6 +131,7 @@ impl SyncState {
             next_cycle: AtomicU64::new(0),
             max_pu_fs: (0..n).map(|_| AtomicU64::new(0)).collect(),
             drained_cycle: AtomicU64::new(0),
+            cadences,
         }
     }
 }
@@ -146,8 +152,9 @@ pub(crate) struct ResumeState {
 /// Shared state for periodic snapshot writes: each worker deposits its
 /// encoded chunk, then the barrier leader assembles and writes the file.
 struct CheckpointState {
-    /// Snapshot cadence in NoC cycles.
-    every: u64,
+    /// Periodic snapshot cadence; `None` when the slot only serves a
+    /// ward-trip post-mortem snapshot.
+    cadence: Option<Cadence>,
     /// Snapshot file path (written atomically via a temp file).
     path: String,
     /// The pre-encoded identity header, identical for every snapshot of
@@ -177,9 +184,8 @@ impl CheckpointState {
 /// wards read is deterministic simulated state, so a trip lands on the
 /// same cycle for any host-thread count or leap/worklist mode.
 struct TelemetryState {
-    /// Sample cadence: cycle `c` is a sample cycle when
-    /// `(c + 1) % every == 0` (the end of each `every`-cycle block).
-    every: u64,
+    /// Sample cadence (a sample closes each block).
+    cadence: Cadence,
     /// One deposit slot per worker, written before the decision barrier.
     samples: Vec<Mutex<WorkerSample>>,
     /// Leader-only aggregation state, locked only at sample cycles.
@@ -206,12 +212,6 @@ struct LeaderState {
     wards: WardEngine,
     /// Scratch for the per-sample merge (reused, never reallocated).
     merged: Vec<WorkerSample>,
-}
-
-impl TelemetryState {
-    fn is_sample_cycle(&self, cycle: u64) -> bool {
-        (cycle + 1).is_multiple_of(self.every)
-    }
 }
 
 /// Builds the telemetry pipeline when the configuration (or an attached
@@ -246,7 +246,7 @@ fn telemetry_state(
     subs.extend(extra);
     let start_cycle = resume.map_or(0, |r| r.cycle);
     Ok(Some(TelemetryState {
-        every: every.max(1),
+        cadence: Cadence::block_end(every),
         samples: (0..nworkers)
             .map(|_| Mutex::new(WorkerSample::default()))
             .collect(),
@@ -280,17 +280,15 @@ pub(crate) fn drive<A: Application>(
         mut networks,
     } = setup;
     let nworkers = workers.len();
-    let sync = SyncState::new(nworkers);
     let termination = cfg.termination_latency_cycles();
     let kernels = app.kernels();
     let leap = cfg.time_leap;
     // a checkpoint slot is also needed without a periodic cadence when a
-    // ward trip may want a post-mortem snapshot (cadence u64::MAX then:
-    // no periodic boundary is ever crossed)
+    // ward trip may want a post-mortem snapshot
     let ckpt = match (&cfg.checkpoint_path, cfg.checkpoint_every) {
         (Some(path), every) if every.is_some() || cfg.telemetry.snapshot_on_trip => {
             Some(CheckpointState {
-                every: every.map_or(u64::MAX, |e| e.max(1)),
+                cadence: every.map(Cadence::block_start),
                 path: path.clone(),
                 header: crate::snapshot::encode_header(
                     crate::snapshot::config_hash(cfg),
@@ -311,6 +309,12 @@ pub(crate) fn drive<A: Application>(
         _ => None,
     };
     let telem = telemetry_state(cfg, resume, subscribers, nworkers)?;
+    let cadences = [
+        frame_cadence(cfg),
+        telem.as_ref().map(|t| t.cadence),
+        ckpt.as_ref().and_then(|c| c.cadence),
+    ];
+    let sync = SyncState::new(nworkers, cadences.into_iter().flatten().collect());
     let runtime_cycles;
     {
         // hand each worker its shard of every NoC plane
@@ -493,12 +497,10 @@ fn worker_loop<A: Application>(
         None => (0, None),
     };
     let mut base = resume.map_or(0, |r| r.base);
-    // the first checkpoint boundary strictly after the starting cycle;
-    // derived from barrier-synchronized values only, so every worker
-    // agrees on each snapshot cycle without communicating
-    let mut next_snap = ckpt.map_or(u64::MAX, |c| {
-        (resume.map_or(0, |r| r.cycle) / c.every + 1) * c.every
-    });
+    // the loop's entry cycle never snapshots: a fresh run has nothing to
+    // save yet, a resumed one was restored from exactly this state
+    let entry = resume.map_or(0, |r| r.cycle);
+    let snap_cadence = ckpt.and_then(|c| c.cadence);
     for kernel in start_kernel..kernels {
         let mut cycle = match resume_cycle.take() {
             Some(c) => c,
@@ -513,17 +515,16 @@ fn worker_loop<A: Application>(
             // the capture point is right after begin_cycle: deferred
             // frees, deferred pushes, and cross-shard mailboxes are all
             // drained, so every in-flight packet sits in a router queue.
-            // Time leaping may skip the exact boundary; the first
-            // executed cycle at or past it is the snapshot cycle. A
+            // The leap rule guarantees every due cycle executes. A
             // pending ward-trip snapshot (scheduled by the leader for
             // the cycle after the trip) uses the same capture point.
             let trip_snap = telem.map_or(u64::MAX, |t| t.snap_at.load(Ordering::Acquire));
-            if cycle >= next_snap || cycle >= trip_snap {
+            let periodic = cycle > entry && snap_cadence.is_some_and(|c| c.is_due(cycle));
+            if periodic || cycle >= trip_snap {
                 if let Some(c) = ckpt {
                     take_checkpoint(
                         worker, app, &shards, sync, c, kernel, cycle, base, &mut sense, widx,
                     );
-                    next_snap = (cycle / c.every + 1) * c.every;
                 }
             }
             worker.pu_phase(app, cycle);
@@ -540,7 +541,7 @@ fn worker_loop<A: Application>(
             // deposit this worker's telemetry share before the decision
             // barrier so the leader can merge a coherent sample
             if let Some(t) = telem {
-                if t.is_sample_cycle(cycle) {
+                if t.cadence.is_due(cycle) {
                     *t.samples[widx].lock().expect("telemetry sample lock") =
                         worker.telemetry_sample(&shards);
                 }
@@ -593,12 +594,9 @@ fn worker_loop<A: Application>(
                             }
                         }
                     }
-                    if let Some(t) = telem {
-                        // never leap over a sample boundary: clamp to the
-                        // next sample cycle so the cadence stays exact
-                        let r = (cycle + 1) % t.every;
-                        let to_sample = if r == 0 { t.every } else { t.every - r };
-                        next = next.min(cycle.saturating_add(to_sample));
+                    // the leap rule: never skip a due observation
+                    for c in &sync.cadences {
+                        next = next.min(c.next_due(cycle));
                     }
                     next = next.min(base.saturating_add(cycle_limit));
                     sync.next_cycle.store(next, Ordering::Release);
@@ -607,7 +605,7 @@ fn worker_loop<A: Application>(
                 // stop decision: a drained or limit-hit run still emits
                 // its final sample, but wards no longer fire)
                 if let Some(t) = telem {
-                    if t.is_sample_cycle(cycle) {
+                    if t.cadence.is_due(cycle) {
                         let mut st = t.leader.lock().expect("telemetry leader lock");
                         let st = &mut *st;
                         st.merged.clear();
@@ -650,7 +648,7 @@ fn worker_loop<A: Application>(
                 cycle + 1
             };
             if next > cycle + 1 {
-                worker.leap_to(&mut shards, cycle, next);
+                worker.leap_to(cycle, next);
             }
             cycle = next;
         }

@@ -452,42 +452,107 @@ fn time_leap_is_bit_identical_to_lockstep() {
     }
 }
 
-#[test]
-fn time_leap_skips_host_work_on_idle_stretches() {
-    // not a wall-clock assertion (too flaky for CI): leaping must leave
-    // runtime_cycles far above the number of frames it actually stepped
-    // through, proving jumps happened, while frames stay backfilled
-    #[derive(Clone)]
-    struct Sparse;
-    impl Application for Sparse {
-        type Tile = u32;
-        fn name(&self) -> &'static str {
-            "sparse"
-        }
-        fn task_types(&self) -> u8 {
-            1
-        }
-        fn make_tile(&self, _t: u32, _g: &GridInfo) -> u32 {
-            0
-        }
-        fn init(&self, _s: &mut u32, ctx: &mut TaskCtx<'_>) {
-            if ctx.tile == 0 {
-                ctx.add_cycles(50_000); // one huge task
-                ctx.send(0, 1, &[1]);
-            }
-        }
-        fn handle(&self, s: &mut u32, _t: u8, _m: &[u32], _ctx: &mut TaskCtx<'_>) {
-            *s += 1;
+/// One 50k-cycle task on tile 0, then a single message: the whole run
+/// is one long idle stretch for the time-leaping driver.
+#[derive(Clone)]
+struct Sparse;
+
+impl Application for Sparse {
+    type Tile = u32;
+    fn name(&self) -> &'static str {
+        "sparse"
+    }
+    fn task_types(&self) -> u8 {
+        1
+    }
+    fn make_tile(&self, _t: u32, _g: &GridInfo) -> u32 {
+        0
+    }
+    fn init(&self, _s: &mut u32, ctx: &mut TaskCtx<'_>) {
+        if ctx.tile == 0 {
+            ctx.add_cycles(50_000); // one huge task
+            ctx.send(0, 1, &[1]);
         }
     }
+    fn handle(&self, s: &mut u32, _t: u8, _m: &[u32], _ctx: &mut TaskCtx<'_>) {
+        *s += 1;
+    }
+    fn snapshot_tile(&self, state: &u32, out: &mut Vec<u8>) -> Result<(), String> {
+        out.extend_from_slice(&state.to_le_bytes());
+        Ok(())
+    }
+    fn restore_tile(&self, state: &mut u32, bytes: &[u8]) -> Result<(), String> {
+        *state = u32::from_le_bytes(bytes.try_into().map_err(|_| "bad tile blob")?);
+        Ok(())
+    }
+}
+
+#[test]
+fn time_leap_skips_host_work_on_idle_stretches() {
+    // not a wall-clock assertion (too flaky for CI): the run must cover
+    // far more cycles than the host would tolerate stepping one by one,
+    // and leaping must still stop on the closing cycle of every frame,
+    // so the frame log matches the lockstep driver's capture for capture
     let on = leap_run(&Sparse, true, 1);
     let off = leap_run(&Sparse, false, 1);
     assert!(on.runtime_cycles > 50_000);
     assert_eq!(on.runtime_cycles, off.runtime_cycles);
     assert_eq!(on.frames, off.frames);
     // the 50k-cycle gap crosses hundreds of 64-cycle frame boundaries,
-    // all of which must have been backfilled
+    // every one of which closed a frame
     assert!(on.frames.len() > 500, "frames: {}", on.frames.len());
+}
+
+/// The NoC cycle recorded in a snapshot file's header.
+fn snapshot_cycle(path: &str) -> u64 {
+    let bytes = std::fs::read(path).expect("snapshot written");
+    // past the magic and the format version
+    let mut r = muchisim_core::snapshot::ByteReader::new(&bytes[12..]);
+    r.u64().unwrap(); // config hash
+    r.str_().unwrap(); // app name
+    for _ in 0..4 {
+        r.u32().unwrap(); // width, height, pus per tile, planes
+    }
+    r.u8().unwrap(); // task types
+    r.u32().unwrap(); // kernels
+    r.u32().unwrap(); // kernel
+    r.u64().unwrap()
+}
+
+#[test]
+fn leaping_snapshots_land_exactly_on_the_cadence() {
+    // a prime cadence the 50k-cycle leap never lands on by chance: the
+    // leap must stop at every multiple, so the last snapshot is the last
+    // multiple before the task completes, not the first cycle after it
+    let every = 997;
+    let path = std::env::temp_dir()
+        .join(format!("muchisim-cadence-{}.snap", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let mut cfg = SystemConfig::builder().chiplet_tiles(8, 8).build().unwrap();
+    cfg.checkpoint_every = Some(every);
+    cfg.checkpoint_path = Some(path.clone());
+    let full = Simulation::new(cfg.clone(), Sparse)
+        .unwrap()
+        .run_parallel(2)
+        .unwrap();
+    let cycle = snapshot_cycle(&path);
+    assert_eq!(cycle % every, 0, "snapshot at cycle {cycle}");
+    assert_eq!(
+        cycle,
+        50_000 / every * every,
+        "cadence kept through the leap"
+    );
+    // and the exact-cadence snapshot resumes to the uninterrupted run
+    cfg.checkpoint_every = None;
+    cfg.checkpoint_resume = true;
+    let resumed = Simulation::new(cfg, Sparse)
+        .unwrap()
+        .run_parallel(1)
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(resumed.runtime_cycles, full.runtime_cycles);
+    assert_eq!(resumed.counters, full.counters);
 }
 
 #[test]

@@ -65,8 +65,9 @@ impl WorkerSample {
 ///
 /// Cumulative fields count from the start of the run (or from the
 /// resumed snapshot's restore point); `*_delta` fields cover the
-/// interval since the previous sample. All fields except `host_ns` and
-/// `cyc_per_s` are deterministic functions of simulated state.
+/// interval since the previous sample. All fields except the host-time
+/// ones (`phase_*_ns`, `host_ns`, `cyc_per_s`) are deterministic
+/// functions of simulated state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct MetricsSample {

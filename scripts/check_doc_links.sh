@@ -34,7 +34,7 @@ for doc in README.md docs/*.md; do
     # 2. backtick-quoted repo paths: `crates/...`, `tests/...`, etc.
     while IFS= read -r target; do
         check "$doc" "$target"
-    done < <(grep -o '`\(crates\|tests\|docs\|specs\|scripts\|src\|vendor\)/[A-Za-z0-9_./-]*`' "$doc" \
+    done < <(grep -o '`\(crates\|tests\|docs\|specs\|scripts\|src\|vendor\|perfbench\)/[A-Za-z0-9_./-]*`' "$doc" \
              | tr -d '\`' | sed 's|/$||')
 done
 

@@ -61,7 +61,9 @@ SUBCOMMANDS:
              traf-bitcomp, traf-transpose, traf-shuffle, traf-neighbor,
              traf-hotspot); scale is the RMAT scale (default 11), side
              the square grid side in tiles (default 16), threads the
-             host threads (default 8). --seed seeds both the dataset
+             host threads (default: the host's available parallelism,
+             capped at the grid's column count; results are
+             bit-identical at any count). --seed seeds both the dataset
              generator and traffic.seed; --trace records every NoC
              injection to FILE (JSONL) for later replay. --telemetry
              additionally prints simulator throughput and the host
@@ -110,7 +112,8 @@ SUBCOMMANDS:
              (default 8, 4 PUs/tile) and prints the latency-vs-load
              table plus the detected saturation rate. `traffic replay`
              re-injects a trace recorded with `run --trace`, app-free,
-             under the configuration given by --side/--set.
+             under the configuration given by --side/--set. Both
+             default --threads as `run` does.
 
 COMMON OPTIONS:
     --set KEY=VALUE   Configuration override (repeatable), e.g.
@@ -118,6 +121,14 @@ COMMON OPTIONS:
     --csv             Print the table as CSV instead of aligned text.
     -h, --help        Show this help.
 ";
+
+/// The default host-thread count for a grid `columns` tiles wide: the
+/// host's available parallelism, capped at the column count (workers own
+/// column slices, so more threads than columns would sit idle).
+fn default_threads(columns: u32) -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    host.min(columns as usize).max(1)
+}
 
 fn usage_error(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
@@ -293,11 +304,8 @@ fn cmd_run(args: Vec<String>) -> i32 {
     };
     let scale: u32 = positional.get(1).map_or(11, |s| parse_num("RMAT scale", s));
     let side: u32 = positional.get(2).map_or(16, |s| parse_num("grid side", s));
-    let threads: usize = threads_flag.unwrap_or_else(|| {
-        positional
-            .get(3)
-            .map_or(8, |s| parse_num("thread count", s))
-    });
+    let threads: Option<usize> =
+        threads_flag.or_else(|| positional.get(3).map(|s| parse_num("thread count", s)));
 
     let mut builder = SystemConfig::builder();
     builder.chiplet_tiles(side, side);
@@ -306,6 +314,7 @@ fn cmd_run(args: Vec<String>) -> i32 {
     }
     let base = builder.build().unwrap_or_else(|e| usage_error(e));
     let mut cfg = apply_to_config(&base, &overrides).unwrap_or_else(|e| usage_error(e));
+    let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
     if no_active_list {
         cfg.active_list = false;
     }
@@ -703,7 +712,7 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
     let mut rates: Vec<f64> = vec![0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
     let mut side = 8u32;
     let mut topo = "mesh".to_string();
-    let mut threads = 4usize;
+    let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut overrides: Vec<Override> = Vec::new();
     let mut csv = false;
@@ -744,7 +753,7 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
                     .next()
                     .unwrap_or_else(|| usage_error("--topo needs a name"))
             }
-            "--threads" => threads = parse_flag_value(&mut args, "--threads", "thread count"),
+            "--threads" => threads = Some(parse_flag_value(&mut args, "--threads", "thread count")),
             "--seed" => seed = Some(parse_flag_value(&mut args, "--seed", "seed")),
             "--csv" => csv = true,
             "--set" => overrides.push(parse_set(&mut args)),
@@ -752,6 +761,7 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
         }
     }
     let mut cfg = traffic_config(side, &topo, &overrides);
+    let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
     // an explicit --set traffic.seed wins, matching `run`'s precedence
     if let Some(s) = seed {
         if !overrides.iter().any(|(k, _)| k == "traffic.seed") {
@@ -814,7 +824,7 @@ fn curve_table(label: &str, curve: &SaturationCurve) -> LoadLatencyTable {
 fn cmd_traffic_replay(args: Vec<String>) -> i32 {
     let mut trace_path: Option<String> = None;
     let mut side = 16u32;
-    let mut threads = 4usize;
+    let mut threads: Option<usize> = None;
     let mut overrides: Vec<Override> = Vec::new();
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
@@ -826,7 +836,7 @@ fn cmd_traffic_replay(args: Vec<String>) -> i32 {
                 )
             }
             "--side" => side = parse_flag_value(&mut args, "--side", "grid side"),
-            "--threads" => threads = parse_flag_value(&mut args, "--threads", "thread count"),
+            "--threads" => threads = Some(parse_flag_value(&mut args, "--threads", "thread count")),
             "--set" => overrides.push(parse_set(&mut args)),
             other => usage_error(format!("unknown argument `{other}`")),
         }
@@ -839,6 +849,7 @@ fn cmd_traffic_replay(args: Vec<String>) -> i32 {
         .build()
         .unwrap_or_else(|e| usage_error(e));
     let cfg = apply_to_config(&base, &overrides).unwrap_or_else(|e| usage_error(e));
+    let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
     let tiles = cfg.total_tiles() as u32;
     let app = match TraceReplayApp::from_file(&trace_path, tiles) {
         Ok(app) => app,
@@ -905,5 +916,19 @@ fn emit(text: &str) {
     use std::io::Write;
     if std::io::stdout().write_all(text.as_bytes()).is_err() {
         std::process::exit(0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::default_threads;
+
+    #[test]
+    fn default_threads_is_never_zero_nor_above_the_column_count() {
+        for columns in [1u32, 2, 3, 16, 1024] {
+            let n = default_threads(columns);
+            assert!(n >= 1, "{columns} columns: {n} threads");
+            assert!(n <= columns as usize, "{columns} columns: {n} threads");
+        }
     }
 }

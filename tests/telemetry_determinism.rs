@@ -14,7 +14,7 @@
 use muchisim::apps::{run_benchmark, Benchmark};
 use muchisim::config::{NocTopology, SystemConfig, Verbosity};
 use muchisim::core::digest::trace_checksum as checksum;
-use muchisim::core::{MemorySubscriber, Simulation};
+use muchisim::core::{MemorySubscriber, MetricsSample, SimResult, Simulation};
 use muchisim::data::rmat::RmatConfig;
 use serde_json::JsonValue;
 use std::sync::Arc;
@@ -143,6 +143,61 @@ fn sampling_is_invisible_across_thread_counts() {
         );
         assert_eq!(probed.runtime_cycles, plain.runtime_cycles);
         assert_eq!(probed.counters, plain.counters);
+    }
+}
+
+/// A leap never skips a due observation, whichever observers are armed:
+/// frames, samples and periodic snapshots run together at pairwise
+/// co-prime cadences (64, 97, 81 cycles), so their due cycles rarely
+/// coincide and every leap is clamped by a different observer. Leap on
+/// must equal leap off for counters, frames, every deterministic sample
+/// field, and the last snapshot file byte for byte.
+#[test]
+fn all_observers_armed_together_are_invisible_to_leaping() {
+    let graph = Arc::new(RmatConfig::scale(GRAPH_SCALE).generate(GRAPH_SEED));
+    let mut cfg = config(4, NocTopology::Mesh, None);
+    cfg.frame_interval_cycles = 64;
+    let observed = |bench: Benchmark, leap: bool| -> (SimResult, Vec<MetricsSample>, Vec<u8>) {
+        let tag = format!("{}-{}-leap{leap}", std::process::id(), bench.label());
+        let dir = std::env::temp_dir();
+        let metrics = dir.join(format!("muchisim-observers-{tag}.jsonl"));
+        let snap = dir.join(format!("muchisim-observers-{tag}.snap"));
+        let mut c = sampled(cfg.clone());
+        c.time_leap = leap;
+        c.telemetry.metrics_path = Some(metrics.to_string_lossy().into_owned());
+        c.checkpoint_every = Some(81);
+        c.checkpoint_path = Some(snap.to_string_lossy().into_owned());
+        let r = run_benchmark(bench, c, &graph, 2)
+            .unwrap_or_else(|e| panic!("{bench:?} leap={leap} failed: {e}"));
+        let samples = std::fs::read_to_string(&metrics)
+            .expect("metrics stream written")
+            .lines()
+            .map(|line| {
+                let mut s: MetricsSample = serde_json::from_str(line).expect("sample parses");
+                // host-time fields are the only nondeterministic ones
+                s.phase_pu_ns = 0;
+                s.phase_inject_ns = 0;
+                s.phase_net_ns = 0;
+                s.phase_worklist_ns = 0;
+                s.host_ns = 0;
+                s.cyc_per_s = 0.0;
+                s
+            })
+            .collect();
+        let snapshot = std::fs::read(&snap).expect("snapshot written");
+        let _ = std::fs::remove_file(&metrics);
+        let _ = std::fs::remove_file(&snap);
+        (r, samples, snapshot)
+    };
+    for bench in Benchmark::ALL {
+        let (on, on_samples, on_snap) = observed(bench, true);
+        let (off, off_samples, off_snap) = observed(bench, false);
+        assert_eq!(on.runtime_cycles, off.runtime_cycles, "{bench:?}");
+        assert_eq!(on.counters, off.counters, "{bench:?}: counters");
+        assert_eq!(on.frames, off.frames, "{bench:?}: frames");
+        assert!(!on_samples.is_empty(), "{bench:?}: no samples");
+        assert_eq!(on_samples, off_samples, "{bench:?}: samples");
+        assert!(on_snap == off_snap, "{bench:?}: last snapshots differ");
     }
 }
 
