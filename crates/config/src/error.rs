@@ -60,6 +60,12 @@ pub enum ConfigError {
         /// What is wrong with them.
         why: &'static str,
     },
+    /// A string-keyed override could not be parsed or applied (unknown
+    /// key, malformed assignment, or a value of the wrong type).
+    Override {
+        /// What is wrong with it.
+        why: String,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -105,6 +111,7 @@ impl fmt::Display for ConfigError {
             ConfigError::Telemetry { why } => {
                 write!(f, "invalid telemetry configuration: {why}")
             }
+            ConfigError::Override { why } => write!(f, "invalid parameter override: {why}"),
         }
     }
 }
@@ -131,6 +138,7 @@ mod tests {
             ConfigError::Traffic { why: "rate" }.to_string(),
             ConfigError::Checkpoint { why: "path" }.to_string(),
             ConfigError::Telemetry { why: "cadence" }.to_string(),
+            ConfigError::Override { why: "key".into() }.to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "{m}");

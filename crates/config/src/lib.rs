@@ -36,6 +36,7 @@
 
 mod error;
 mod hierarchy;
+mod overrides;
 mod params;
 pub mod presets;
 mod system;
@@ -45,6 +46,9 @@ mod units;
 
 pub use error::ConfigError;
 pub use hierarchy::{Hierarchy, LinkClass, TileCoord};
+pub use overrides::{
+    apply_to_config, overrides_from_value, parse_assignment, parse_json_or_string, Override,
+};
 pub use params::{
     CostParams, HbmParams, LinkParams, ModelParams, PhyParams, PuParams, SramParams, VoltageModel,
 };

@@ -11,10 +11,12 @@
 //! Paths are validated against the actual field tree: assigning to a key
 //! that does not exist is an error (with the available keys listed), not
 //! a silent no-op, and the rebuilt configuration is re-validated by
-//! [`SystemConfig::validate`].
+//! [`SystemConfig::validate`]. The `muchisim run` flags and the
+//! `MUCHISIM_SET` environment variable are spelled as these assignments
+//! too, so every way of setting a knob goes through [`apply_to_config`].
 
-use crate::error::DseError;
-use muchisim_config::SystemConfig;
+use crate::error::ConfigError;
+use crate::system::SystemConfig;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
@@ -30,17 +32,17 @@ pub type Override = (String, Value);
 ///
 /// # Errors
 ///
-/// Returns [`DseError::Override`] when the `key=` part is missing or
+/// Returns [`ConfigError::Override`] when the `key=` part is missing or
 /// empty.
-pub fn parse_assignment(text: &str) -> Result<Override, DseError> {
+pub fn parse_assignment(text: &str) -> Result<Override, ConfigError> {
     let Some((key, value)) = text.split_once('=') else {
-        return Err(DseError::Override(format!(
+        return Err(override_error(format!(
             "`{text}` is not of the form key=value"
         )));
     };
     let key = key.trim();
     if key.is_empty() {
-        return Err(DseError::Override(format!("`{text}` has an empty key")));
+        return Err(override_error(format!("`{text}` has an empty key")));
     }
     Ok((key.to_string(), parse_json_or_string(value.trim())))
 }
@@ -58,23 +60,23 @@ pub fn parse_json_or_string(text: &str) -> Value {
 ///
 /// # Errors
 ///
-/// Returns [`DseError::Override`] for any other JSON shape or an
+/// Returns [`ConfigError::Override`] for any other JSON shape or an
 /// unparseable assignment string.
-pub fn overrides_from_value(value: &Value) -> Result<Vec<Override>, DseError> {
+pub fn overrides_from_value(value: &Value) -> Result<Vec<Override>, ConfigError> {
     match value {
         Value::Null => Ok(Vec::new()),
         Value::Array(items) => items
             .iter()
             .map(|item| match item {
                 Value::String(s) => parse_assignment(s),
-                other => Err(DseError::Override(format!(
+                other => Err(override_error(format!(
                     "override list entries must be \"key=value\" strings, got {}",
                     other.kind()
                 ))),
             })
             .collect(),
         Value::Object(map) => Ok(map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()),
-        other => Err(DseError::Override(format!(
+        other => Err(override_error(format!(
             "an override set must be an array of \"key=value\" strings or an object, got {}",
             other.kind()
         ))),
@@ -86,29 +88,33 @@ pub fn overrides_from_value(value: &Value) -> Result<Vec<Override>, DseError> {
 ///
 /// # Errors
 ///
-/// Returns [`DseError::Override`] for unknown paths or type-mismatched
-/// values and [`DseError::Config`] when the resulting configuration fails
-/// validation.
+/// Returns [`ConfigError::Override`] for unknown paths or type-mismatched
+/// values and the validation error when the resulting configuration is
+/// invalid.
 pub fn apply_to_config(
     cfg: &SystemConfig,
     overrides: &[Override],
-) -> Result<SystemConfig, DseError> {
+) -> Result<SystemConfig, ConfigError> {
     let mut tree = cfg.to_value();
+    let mut rebuilt = cfg.clone();
     for (path, value) in overrides {
         set_path(&mut tree, path, value.clone())?;
+        // rebuilt per assignment so a type mismatch names its key
+        rebuilt = SystemConfig::from_value(&tree).map_err(|e| {
+            let json = serde_json::to_string(value).unwrap_or_default();
+            override_error(format!("cannot set `{path}` to {json}: {e}"))
+        })?;
     }
-    let rebuilt = SystemConfig::from_value(&tree)
-        .map_err(|e| DseError::Override(format!("overridden config does not deserialize: {e}")))?;
     rebuilt.validate()?;
     Ok(rebuilt)
 }
 
 /// Stores `value` at the dot-separated `path` inside `root`, rejecting
 /// paths that do not name an existing field.
-fn set_path(root: &mut Value, path: &str, value: Value) -> Result<(), DseError> {
+fn set_path(root: &mut Value, path: &str, value: Value) -> Result<(), ConfigError> {
     let parts: Vec<&str> = path.split('.').collect();
     if parts.iter().any(|p| p.is_empty()) {
-        return Err(DseError::Override(format!("`{path}` has an empty segment")));
+        return Err(override_error(format!("`{path}` has an empty segment")));
     }
     let (last, dirs) = parts.split_last().expect("split produces >= 1 part");
     let mut cursor = root;
@@ -116,7 +122,7 @@ fn set_path(root: &mut Value, path: &str, value: Value) -> Result<(), DseError> 
         cursor = descend(cursor, part, &parts[..=i], path)?;
     }
     let Value::Object(map) = cursor else {
-        return Err(DseError::Override(format!(
+        return Err(override_error(format!(
             "`{}` is not a parameter object (while setting `{path}`)",
             dirs.join(".")
         )));
@@ -133,9 +139,9 @@ fn descend<'a>(
     part: &str,
     walked: &[&str],
     path: &str,
-) -> Result<&'a mut Value, DseError> {
+) -> Result<&'a mut Value, ConfigError> {
     let Value::Object(map) = cursor else {
-        return Err(DseError::Override(format!(
+        return Err(override_error(format!(
             "`{}` is not a parameter object (while setting `{path}`); \
              assign a whole JSON value to it instead",
             walked[..walked.len() - 1].join(".")
@@ -147,18 +153,22 @@ fn descend<'a>(
     Ok(map.get_mut(part).expect("presence just checked"))
 }
 
-fn unknown_key(map: &serde::value::Map, key: &str, path: &str) -> DseError {
+fn unknown_key(map: &serde::value::Map, key: &str, path: &str) -> ConfigError {
     let known: Vec<&str> = map.keys().map(String::as_str).collect();
-    DseError::Override(format!(
+    override_error(format!(
         "unknown parameter `{key}` in `{path}`; known keys here: {}",
         known.join(", ")
     ))
 }
 
+fn override_error(why: String) -> ConfigError {
+    ConfigError::Override { why }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muchisim_config::{DramConfig, MemoryConfig, NocTopology, SchedulingPolicy};
+    use crate::{DramConfig, MemoryConfig, NocTopology, SchedulingPolicy};
 
     #[test]
     fn assignment_parses_numbers_strings_and_json() {
@@ -222,7 +232,7 @@ mod tests {
     fn unknown_keys_rejected_at_every_depth() {
         let cfg = SystemConfig::default();
         let top = apply_to_config(&cfg, &[parse_assignment("sram_kb=1").unwrap()]);
-        assert!(matches!(top, Err(DseError::Override(_))), "{top:?}");
+        assert!(matches!(top, Err(ConfigError::Override { .. })), "{top:?}");
         let msg = top.unwrap_err().to_string();
         assert!(msg.contains("unknown parameter `sram_kb`"), "{msg}");
         assert!(
@@ -241,12 +251,23 @@ mod tests {
         let bad_type =
             apply_to_config(&cfg, &[parse_assignment("sram_kib_per_tile=lots").unwrap()]);
         assert!(
-            matches!(bad_type, Err(DseError::Override(_))),
+            matches!(bad_type, Err(ConfigError::Override { .. })),
             "{bad_type:?}"
         );
         // deserializes fine but fails validation (width not multiple of 8)
         let invalid = apply_to_config(&cfg, &[parse_assignment("noc.width_bits=12").unwrap()]);
-        assert!(matches!(invalid, Err(DseError::Config(_))), "{invalid:?}");
+        assert_eq!(invalid, Err(ConfigError::InvalidNocWidth { bits: 12 }));
+    }
+
+    #[test]
+    fn path_keys_reject_numbers() {
+        // `--set noc_trace=123` parses 123 as a number; a path-typed key
+        // takes only a string, so the assignment is a clean error
+        let cfg = SystemConfig::default();
+        let err = apply_to_config(&cfg, &[parse_assignment("noc_trace=123").unwrap()]);
+        assert!(matches!(err, Err(ConfigError::Override { .. })), "{err:?}");
+        let msg = err.unwrap_err().to_string();
+        assert!(msg.contains("cannot set `noc_trace` to 123"), "{msg}");
     }
 
     #[test]

@@ -288,7 +288,7 @@ pub struct SystemConfig {
     /// Leaping is an exact host-time optimization: results (runtime
     /// cycles, every counter, every statistics frame) are bit-identical
     /// with the knob on or off. It exists so ablation studies can measure
-    /// the lockstep driver, and as a kill switch (`MUCHISIM_NO_LEAP`).
+    /// the lockstep driver, and as a kill switch (`MUCHISIM_SET=time_leap=false`).
     pub time_leap: bool,
     /// Whether workers and NoC shards keep active-element worklists so a
     /// cycle sweeps only tiles and routers that can act, instead of the
@@ -297,7 +297,7 @@ pub struct SystemConfig {
     /// Like `time_leap`, this is an exact host-time optimization: results
     /// are bit-identical with the knob on or off (pinned by the golden
     /// traces and the worklist determinism property test). It exists for
-    /// ablation studies and as a kill switch (`MUCHISIM_NO_ACTIVE_LIST`).
+    /// ablation studies and as a kill switch (`MUCHISIM_SET=active_list=false`).
     pub active_list: bool,
     /// Output verbosity.
     pub verbosity: Verbosity,

@@ -8,7 +8,10 @@ use crate::horizon::{Cadence, ClockConv};
 use crate::sched::Scheduler;
 use crate::slice::ColSlice;
 use crate::tile::{HostPhaseNs, SimResult, TileEngine};
-use muchisim_config::{MemoryConfig, SchedulingPolicy, SystemConfig, TimePs, Verbosity};
+use muchisim_config::{
+    apply_to_config, parse_assignment, ConfigError, MemoryConfig, SchedulingPolicy, SystemConfig,
+    TimePs, Verbosity,
+};
 use muchisim_mem::{ChannelMap, ChannelState};
 use muchisim_noc::{
     split_by_activity, split_columns, ActiveSet, EjectSink, InPort, Network, NetworkParams, OutDir,
@@ -19,6 +22,24 @@ use std::time::Instant;
 
 /// Maximum task types supported by the engine.
 const MAX_TASK_TYPES: u8 = 32;
+
+/// Applies the `MUCHISIM_SET=key=value[,key=value...]` overrides, if the
+/// variable is set, to `cfg`.
+fn apply_env_overrides(cfg: SystemConfig) -> Result<SystemConfig, SimError> {
+    let Some(set) = std::env::var_os("MUCHISIM_SET") else {
+        return Ok(cfg);
+    };
+    let set = set.to_string_lossy();
+    set.split(',')
+        .filter(|entry| !entry.trim().is_empty())
+        .map(parse_assignment)
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|overrides| apply_to_config(&cfg, &overrides))
+        .map_err(|e| {
+            let why = format!("in MUCHISIM_SET={set}: {e}");
+            SimError::Config(ConfigError::Override { why })
+        })
+}
 
 /// A configured simulation, ready to run.
 ///
@@ -44,31 +65,26 @@ pub struct Simulation<A: Application> {
 impl<A: Application> Simulation<A> {
     /// Validates the configuration and application and builds a simulation.
     ///
-    /// If the `MUCHISIM_NO_LEAP` environment variable is set, the
-    /// time-leaping driver is disabled regardless of
-    /// `SystemConfig::time_leap`; if `MUCHISIM_NO_ACTIVE_LIST` is set,
-    /// the active-tile/router worklists are disabled regardless of
-    /// `SystemConfig::active_list` (results are bit-identical either
-    /// way; only host time changes).
+    /// If the `MUCHISIM_SET` environment variable is set, its
+    /// comma-separated `key=value` assignments are applied on top of `cfg`
+    /// exactly like `muchisim run --set` (see
+    /// [`apply_to_config`](muchisim_config::apply_to_config)). This lets CI
+    /// and bug bisection run a whole suite under another setting without
+    /// touching every call site: `MUCHISIM_SET=time_leap=false` forces the
+    /// lockstep driver and `MUCHISIM_SET=active_list=false` full per-cycle
+    /// sweeps (results are bit-identical either way; only host time
+    /// changes). Values containing a comma cannot be passed this way.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] for invalid configurations,
-    /// [`SimError::TooManyTaskTypes`], or [`SimError::CyclicTaskGraph`] if
-    /// the application's task-invocation graph has a loop (forbidden by
+    /// Returns [`SimError::Config`] for invalid configurations or a
+    /// malformed, unknown or invalid `MUCHISIM_SET` entry (the error names
+    /// it), [`SimError::TooManyTaskTypes`], or [`SimError::CyclicTaskGraph`]
+    /// if the application's task-invocation graph has a loop (forbidden by
     /// the paper's deadlock-avoidance rule, §III-B).
-    pub fn new(mut cfg: SystemConfig, app: A) -> Result<Self, SimError> {
+    pub fn new(cfg: SystemConfig, app: A) -> Result<Self, SimError> {
         cfg.validate()?;
-        // kill switch for the time-leaping driver: lets CI (and bug
-        // bisection) run the whole suite through the lockstep path
-        // without touching every call site
-        if std::env::var_os("MUCHISIM_NO_LEAP").is_some() {
-            cfg.time_leap = false;
-        }
-        // same kill-switch pattern for the active-element worklists
-        if std::env::var_os("MUCHISIM_NO_ACTIVE_LIST").is_some() {
-            cfg.active_list = false;
-        }
+        let cfg = apply_env_overrides(cfg)?;
         let n = app.task_types();
         if n > MAX_TASK_TYPES {
             return Err(SimError::TooManyTaskTypes { declared: n });

@@ -28,8 +28,8 @@
 //! is *time-leaping*: every layer holding latent work exposes an
 //! [`EventHorizon`] and the driver jumps over provably event-free cycle
 //! ranges, which is again bit-identical to stepping them (disable via
-//! `SystemConfig::time_leap` or the `MUCHISIM_NO_LEAP` environment
-//! variable to measure the lockstep driver).
+//! `SystemConfig::time_leap` or `MUCHISIM_SET=time_leap=false` in the
+//! environment to measure the lockstep driver).
 //!
 //! # Example: ping-pong across the grid
 //!

@@ -68,7 +68,10 @@ impl std::error::Error for DseError {
 
 impl From<ConfigError> for DseError {
     fn from(e: ConfigError) -> Self {
-        DseError::Config(e)
+        match e {
+            ConfigError::Override { why } => DseError::Override(why),
+            e => DseError::Config(e),
+        }
     }
 }
 

@@ -56,14 +56,13 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
-mod overrides;
 mod report;
 mod runner;
 mod spec;
 mod store;
 
 pub use error::DseError;
-pub use overrides::{
+pub use muchisim_config::{
     apply_to_config, overrides_from_value, parse_assignment, parse_json_or_string, Override,
 };
 pub use report::{report_for, repriced_report_for, table_from_store};

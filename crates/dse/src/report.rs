@@ -8,8 +8,8 @@
 //! re-simulating (paper §III-E).
 
 use crate::error::DseError;
-use crate::overrides::{apply_to_config, Override};
 use crate::store::{JsonlStore, RunRecord};
+use muchisim_config::{apply_to_config, Override};
 use muchisim_energy::Report;
 use muchisim_viz::{ReportRow, ReportTable};
 

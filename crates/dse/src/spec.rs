@@ -8,9 +8,8 @@
 //! invocations — the key to resumable sweeps.
 
 use crate::error::DseError;
-use crate::overrides::{apply_to_config, overrides_from_value, Override};
 use muchisim_apps::Benchmark;
-use muchisim_config::SystemConfig;
+use muchisim_config::{apply_to_config, overrides_from_value, Override, SystemConfig};
 use muchisim_data::rmat::RmatConfig;
 use muchisim_data::synthetic::{grid_2d, uniform_random};
 use muchisim_data::Csr;

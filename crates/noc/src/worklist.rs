@@ -17,8 +17,8 @@
 //! kept *sorted*: activations accumulate in a fresh-list and are merged
 //! (sort + two-way merge) before the next sweep, and removals compact the
 //! list in place without disturbing the order. A disabled set (the
-//! `MUCHISIM_NO_ACTIVE_LIST` kill switch or `SystemConfig::active_list =
-//! false`) degrades every operation to the pre-worklist full sweep, which
+//! `MUCHISIM_SET=active_list=false` kill switch or `SystemConfig::active_list
+//! = false`) degrades every operation to the pre-worklist full sweep, which
 //! is how the ablation jobs prove the worklist is invisible to results.
 
 /// A set of active element indices over a fixed domain `0..len`,

@@ -19,9 +19,7 @@
 //! errors (exit code 2), never silently replaced with defaults.
 
 use muchisim::apps::{run_benchmark, Benchmark};
-use muchisim::config::{
-    ConvergedWard, NocTopology, SystemConfig, TelemetryParams, TrafficPattern, WardMetric,
-};
+use muchisim::config::{ConvergedWard, NocTopology, SystemConfig, TrafficPattern, WardMetric};
 use muchisim::core::SimError;
 use muchisim::data::rmat::RmatConfig;
 use muchisim::dse::{
@@ -31,6 +29,7 @@ use muchisim::dse::{
 use muchisim::energy::Report;
 use muchisim::traffic::{saturation_sweep, SaturationCurve, TraceReplayApp};
 use muchisim::viz::{LoadLatencyRow, LoadLatencyTable};
+use serde_json::JsonValue;
 use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -70,7 +69,9 @@ SUBCOMMANDS:
              memory footprint. --threads N overrides the positional
              thread count; --no-active-list disables the active-tile
              worklists (full per-cycle sweeps, bit-identical results,
-             shorthand for --set active_list=false).
+             shorthand for --set active_list=false). Configuration
+             flags are shorthand for `--set` keys; assignments apply left
+             to right after the defaults, so the last one wins.
              --checkpoint FILE snapshots the full simulation state to
              FILE periodically (--checkpoint-every N cycles, default
              10000); with --resume the run restores FILE first, if it
@@ -122,12 +123,54 @@ COMMON OPTIONS:
     -h, --help        Show this help.
 ";
 
+/// The remaining command-line arguments of a subcommand.
+type Args = std::vec::IntoIter<String>;
+
+/// How a `run` flag that is shorthand for a configuration key gets the
+/// value it assigns.
+enum FlagValue {
+    /// The flag takes no argument and assigns this value.
+    Implied(&'static str),
+    /// The next argument, stored verbatim as a string (a file path).
+    Path,
+    /// The next argument, parsed like a `--set` value.
+    Parsed,
+}
+use FlagValue::{Implied, Parsed, Path};
+
+/// The `run` flags that are shorthand for `--set KEY=VALUE`.
+const RUN_ALIASES: [(&str, &str, FlagValue); 9] = [
+    ("--no-active-list", "active_list", Implied("false")),
+    ("--trace", "noc_trace", Path),
+    ("--checkpoint", "checkpoint_path", Path),
+    ("--checkpoint-every", "checkpoint_every", Parsed),
+    ("--resume", "checkpoint_resume", Implied("true")),
+    ("--metrics", "telemetry.metrics_path", Path),
+    ("--metrics-csv", "telemetry.metrics_csv", Path),
+    ("--sample-every", "telemetry.sample_every", Parsed),
+    ("--progress", "telemetry.progress", Implied("true")),
+];
+
+/// `--ward NAME=VALUE` names and the `telemetry.*` keys they set;
+/// `converged` is translated by [`converged_ward`].
+const WARD_KEYS: [(&str, &str); 5] = [
+    ("max_cycles", "wards.max_cycles"),
+    ("stall", "wards.stall_cycles"),
+    ("diverged_queue", "wards.diverged_queue_factor"),
+    ("diverged_latency", "wards.diverged_latency_factor"),
+    ("snapshot", "snapshot_on_trip"),
+];
+
 /// The default host-thread count for a grid `columns` tiles wide: the
 /// host's available parallelism, capped at the column count (workers own
 /// column slices, so more threads than columns would sit idle).
 fn default_threads(columns: u32) -> usize {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    host.min(columns as usize).max(1)
+    host_parallelism().min(columns as usize).max(1)
+}
+
+/// The host's available parallelism, or 1 when it cannot be queried.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn usage_error(msg: impl Display) -> ! {
@@ -144,56 +187,67 @@ where
         .unwrap_or_else(|e| usage_error(format!("invalid {what} `{text}`: {e}")))
 }
 
-fn parse_set(args: &mut std::iter::Peekable<std::vec::IntoIter<String>>) -> Override {
-    let Some(assignment) = args.next() else {
-        usage_error("--set needs a KEY=VALUE argument");
-    };
-    parse_assignment(&assignment).unwrap_or_else(|e| usage_error(e))
+/// The argument following `flag`, exiting 2 when it is missing.
+fn next_value(args: &mut Args, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
 }
 
-/// Applies one `--ward KEY=VALUE` assignment to the telemetry params.
-fn apply_ward(assignment: &str, t: &mut TelemetryParams) {
-    let Some((key, value)) = assignment.split_once('=') else {
-        usage_error(format!("--ward needs KEY=VALUE, got `{assignment}`"));
+/// Parses the value of `flag` from the next argument, exiting 2 when it
+/// is missing or malformed.
+fn parse_flag_value<T: FromStr>(args: &mut Args, flag: &str, what: &str) -> T
+where
+    T::Err: Display,
+{
+    parse_num(what, &next_value(args, flag))
+}
+
+fn parse_set(args: &mut Args) -> Override {
+    parse_assignment(&next_value(args, "--set")).unwrap_or_else(|e| usage_error(e))
+}
+
+/// Translates one `--ward NAME=VALUE` into its configuration override.
+fn ward_override(assignment: &str) -> Override {
+    let Some((name, value)) = assignment.split_once('=') else {
+        usage_error(format!("--ward needs NAME=VALUE, got `{assignment}`"));
     };
-    match key {
-        "max_cycles" => t.wards.max_cycles = Some(parse_num("max_cycles ward", value)),
-        "stall" => t.wards.stall_cycles = Some(parse_num("stall ward span", value)),
-        "converged" => {
-            let mut parts = value.split(':');
-            let name = parts.next().unwrap_or("");
-            let metric = WardMetric::from_label(name).unwrap_or_else(|| {
-                usage_error(format!(
-                    "unknown converged metric `{name}`; choose one of: {}",
-                    WardMetric::ALL.map(WardMetric::label).join(", ")
-                ))
-            });
-            let Some(eps) = parts.next() else {
-                usage_error("converged ward needs METRIC:EPSILON[:WINDOW]");
-            };
-            let epsilon: f64 = parse_num("converged epsilon", eps);
-            let window: u32 = parts.next().map_or(3, |w| parse_num("converged window", w));
-            if parts.next().is_some() {
-                usage_error(format!("converged ward `{value}` has too many `:` parts"));
-            }
-            t.wards.converged = Some(ConvergedWard {
-                metric,
-                epsilon,
-                window,
-            });
-        }
-        "diverged_queue" => {
-            t.wards.diverged_queue_factor = Some(parse_num("diverged_queue factor", value))
-        }
-        "diverged_latency" => {
-            t.wards.diverged_latency_factor = Some(parse_num("diverged_latency factor", value))
-        }
-        "snapshot" => t.snapshot_on_trip = parse_num("snapshot flag", value),
-        other => usage_error(format!(
-            "unknown ward `{other}`; choose one of: max_cycles, stall, converged, \
-             diverged_queue, diverged_latency, snapshot"
-        )),
+    if name == "converged" {
+        let key = "telemetry.wards.converged".to_string();
+        return (key, converged_ward(value));
     }
+    let Some((_, key)) = WARD_KEYS.iter().find(|(n, _)| *n == name) else {
+        usage_error(format!(
+            "unknown ward `{name}`; choose one of: converged, {}",
+            WARD_KEYS.map(|(n, _)| n).join(", ")
+        ));
+    };
+    (format!("telemetry.{key}"), parse_json_or_string(value))
+}
+
+/// Parses a `converged=METRIC:EPSILON[:WINDOW]` ward value.
+fn converged_ward(value: &str) -> JsonValue {
+    let mut parts = value.split(':');
+    let name = parts.next().unwrap_or("");
+    let metric = WardMetric::from_label(name).unwrap_or_else(|| {
+        usage_error(format!(
+            "unknown converged metric `{name}`; choose one of: {}",
+            WardMetric::ALL.map(WardMetric::label).join(", ")
+        ))
+    });
+    let Some(eps) = parts.next() else {
+        usage_error("converged ward needs METRIC:EPSILON[:WINDOW]");
+    };
+    let epsilon: f64 = parse_num("converged epsilon", eps);
+    let window: u32 = parts.next().map_or(3, |w| parse_num("converged window", w));
+    if parts.next().is_some() {
+        usage_error(format!("converged ward `{value}` has too many `:` parts"));
+    }
+    let ward = ConvergedWard {
+        metric,
+        epsilon,
+        window,
+    };
+    parse_json_or_string(&serde_json::to_string(&ward).expect("a ward serializes"))
 }
 
 fn main() {
@@ -216,80 +270,75 @@ fn main() {
     std::process::exit(code);
 }
 
-fn cmd_run(args: Vec<String>) -> i32 {
-    let mut positional: Vec<String> = Vec::new();
-    let mut overrides: Vec<Override> = Vec::new();
-    let mut telemetry = false;
-    let mut seed: Option<u64> = None;
-    let mut trace_path: Option<String> = None;
-    let mut threads_flag: Option<usize> = None;
-    let mut no_active_list = false;
-    let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut resume = false;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_csv: Option<String> = None;
-    let mut sample_every: Option<u64> = None;
-    let mut progress = false;
-    let mut ward_args: Vec<String> = Vec::new();
-    let mut args = args.into_iter().peekable();
+/// A parsed `run` command line.
+#[derive(Default)]
+struct RunArgs {
+    positional: Vec<String>,
+    /// The defaults, then every shorthand flag and `--set` in
+    /// command-line order; applied in one pass, the last assignment to a
+    /// key wins.
+    overrides: Vec<Override>,
+    telemetry: bool,
+    seed: Option<u64>,
+    threads: Option<usize>,
+}
+
+fn parse_run_args(args: Vec<String>) -> RunArgs {
+    let mut run = RunArgs::default();
+    let mut assigned: Vec<Override> = Vec::new();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        if let Some((flag, key, value)) = RUN_ALIASES.iter().find(|(f, ..)| *f == arg) {
+            let value = match value {
+                Implied(text) => parse_json_or_string(text),
+                Path => JsonValue::String(next_value(&mut args, flag)),
+                Parsed => parse_json_or_string(&next_value(&mut args, flag)),
+            };
+            assigned.push((key.to_string(), value));
+            continue;
+        }
         match arg.as_str() {
-            "--set" => overrides.push(parse_set(&mut args)),
-            "--metrics" => {
-                metrics_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--metrics needs a FILE")),
-                )
-            }
-            "--metrics-csv" => {
-                metrics_csv = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--metrics-csv needs a FILE")),
-                )
-            }
-            "--sample-every" => {
-                sample_every = Some(parse_flag_value(
-                    &mut args,
-                    "--sample-every",
-                    "sample cadence",
-                ))
-            }
-            "--progress" => progress = true,
-            "--ward" => ward_args.push(
-                args.next()
-                    .unwrap_or_else(|| usage_error("--ward needs a KEY=VALUE argument")),
-            ),
-            "--telemetry" => telemetry = true,
-            "--seed" => seed = Some(parse_flag_value(&mut args, "--seed", "seed")),
+            "--set" => assigned.push(parse_set(&mut args)),
+            "--ward" => assigned.push(ward_override(&next_value(&mut args, "--ward"))),
+            "--telemetry" => run.telemetry = true,
+            "--seed" => run.seed = Some(parse_flag_value(&mut args, "--seed", "seed")),
             "--threads" => {
-                threads_flag = Some(parse_flag_value(&mut args, "--threads", "thread count"))
+                run.threads = Some(parse_flag_value(&mut args, "--threads", "thread count"))
             }
-            "--no-active-list" => no_active_list = true,
-            "--trace" => {
-                trace_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--trace needs a FILE")),
-                )
-            }
-            "--checkpoint" => {
-                checkpoint_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--checkpoint needs a FILE")),
-                )
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = Some(parse_flag_value(
-                    &mut args,
-                    "--checkpoint-every",
-                    "checkpoint cadence",
-                ))
-            }
-            "--resume" => resume = true,
             flag if flag.starts_with('-') => usage_error(format!("unknown flag `{flag}`")),
-            _ => positional.push(arg),
+            _ => run.positional.push(arg),
         }
     }
+    run.overrides = run_defaults(&assigned, run.seed);
+    run.overrides.extend(assigned);
+    run
+}
+
+/// The assignments `run` makes before any flag or `--set`: a snapshot
+/// cadence when a checkpoint path is set, a sample cadence when telemetry
+/// output is requested, and `--seed` as the traffic seed (so one flag
+/// makes the whole run reproducible).
+fn run_defaults(assigned: &[Override], seed: Option<u64>) -> Vec<Override> {
+    let mut defaults = Vec::new();
+    let mut default = |key: &str, value: String| {
+        defaults.push((key.to_string(), parse_json_or_string(&value)));
+    };
+    let checkpoint_path = assigned.iter().rev().find(|(k, _)| k == "checkpoint_path");
+    if checkpoint_path.is_some_and(|(_, path)| *path != JsonValue::Null) {
+        default("checkpoint_every", "10000".into());
+    }
+    if assigned.iter().any(|(k, _)| k.starts_with("telemetry.")) {
+        default("telemetry.sample_every", "1024".into());
+    }
+    if let Some(seed) = seed {
+        default("traffic.seed", seed.to_string());
+    }
+    defaults
+}
+
+fn cmd_run(args: Vec<String>) -> i32 {
+    let run = parse_run_args(args);
+    let positional = &run.positional;
     if positional.len() > 4 {
         usage_error(format!("unexpected argument `{}`", positional[4]));
     }
@@ -304,75 +353,20 @@ fn cmd_run(args: Vec<String>) -> i32 {
     };
     let scale: u32 = positional.get(1).map_or(11, |s| parse_num("RMAT scale", s));
     let side: u32 = positional.get(2).map_or(16, |s| parse_num("grid side", s));
-    let threads: Option<usize> =
-        threads_flag.or_else(|| positional.get(3).map(|s| parse_num("thread count", s)));
+    let threads: Option<usize> = run
+        .threads
+        .or_else(|| positional.get(3).map(|s| parse_num("thread count", s)));
 
-    let mut builder = SystemConfig::builder();
-    builder.chiplet_tiles(side, side);
-    if let Some(path) = &trace_path {
-        builder.noc_trace(path.clone());
-    }
-    let base = builder.build().unwrap_or_else(|e| usage_error(e));
-    let mut cfg = apply_to_config(&base, &overrides).unwrap_or_else(|e| usage_error(e));
+    // the positional grid side is one more default, ahead of the flags
+    let grid = ["x", "y"].map(|axis| {
+        let key = format!("hierarchy.chiplet.{axis}");
+        (key, parse_json_or_string(&side.to_string()))
+    });
+    let overrides: Vec<Override> = grid.into_iter().chain(run.overrides).collect();
+    let cfg =
+        apply_to_config(&SystemConfig::default(), &overrides).unwrap_or_else(|e| usage_error(e));
     let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
-    if no_active_list {
-        cfg.active_list = false;
-    }
-    // telemetry flags layer on top of any --set telemetry.* overrides
-    // (explicit flags win); an unset cadence defaults to 1024 cycles
-    let telemetry_flags = metrics_path.is_some()
-        || metrics_csv.is_some()
-        || sample_every.is_some()
-        || progress
-        || !ward_args.is_empty();
-    if telemetry_flags {
-        let t = &mut cfg.telemetry;
-        if metrics_path.is_some() {
-            t.metrics_path = metrics_path.clone();
-        }
-        if metrics_csv.is_some() {
-            t.metrics_csv = metrics_csv.clone();
-        }
-        if progress {
-            t.progress = true;
-        }
-        for w in &ward_args {
-            apply_ward(w, t);
-        }
-        match sample_every {
-            Some(n) => t.sample_every = Some(n),
-            None => t.sample_every = t.sample_every.or(Some(1024)),
-        }
-    }
-    // checkpoint flags land after the builder, so re-validate: the
-    // checkpoint rules (path required, incompatible with --trace) must
-    // fail at the command line, not one snapshot cadence into the run
-    if checkpoint_path.is_some() || checkpoint_every.is_some() || resume {
-        cfg.checkpoint_path = checkpoint_path;
-        if cfg.checkpoint_path.is_some() {
-            cfg.checkpoint_every = Some(checkpoint_every.unwrap_or(10_000));
-        } else if checkpoint_every.is_some() {
-            usage_error("--checkpoint-every needs --checkpoint FILE");
-        }
-        cfg.checkpoint_resume = resume;
-        if let Err(e) = cfg.validate() {
-            usage_error(e);
-        }
-    } else if telemetry_flags {
-        // the telemetry rules (cadence non-zero, snapshot ward needs a
-        // checkpoint path) must also fail at the command line
-        if let Err(e) = cfg.validate() {
-            usage_error(e);
-        }
-    }
-    // --seed drives both generators so one flag makes the whole run
-    // reproducible; an explicit --set traffic.seed still wins
-    let graph_seed = seed.unwrap_or(42);
-    if let Some(s) = seed {
-        if !overrides.iter().any(|(k, _)| k == "traffic.seed") {
-            cfg.traffic.seed = s;
-        }
-    }
+    let graph_seed = run.seed.unwrap_or(42);
 
     let graph = Arc::new(RmatConfig::scale(scale).generate(graph_seed));
     println!(
@@ -410,7 +404,7 @@ fn cmd_run(args: Vec<String>) -> i32 {
             true
         }
     };
-    if telemetry {
+    if run.telemetry {
         println!(
             "telemetry: {} tiles | {:.3} Msimcycles/s | {:.3} Mpackets/s | \
              {:.0} bytes/tile ({:.1} MiB simulation state) | host {:.2}s x{} threads",
@@ -459,34 +453,18 @@ fn cmd_run(args: Vec<String>) -> i32 {
             return 1;
         }
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = &cfg.noc_trace {
         println!(
             "NoC trace written to {path} (replay with `muchisim traffic replay --trace {path}`)"
         );
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &cfg.telemetry.metrics_path {
         println!("metrics stream written to {path}");
     }
-    if let Some(path) = &metrics_csv {
+    if let Some(path) = &cfg.telemetry.metrics_csv {
         println!("metrics CSV written to {path}");
     }
     i32::from(failed)
-}
-
-/// Parses the value of `flag` from the next argument, exiting 2 when it
-/// is missing or malformed.
-fn parse_flag_value<T: FromStr>(
-    args: &mut std::iter::Peekable<std::vec::IntoIter<String>>,
-    flag: &str,
-    what: &str,
-) -> T
-where
-    T::Err: Display,
-{
-    let Some(text) = args.next() else {
-        usage_error(format!("{flag} needs a value"));
-    };
-    parse_num(what, &text)
 }
 
 fn cmd_sweep(args: Vec<String>) -> i32 {
@@ -496,7 +474,7 @@ fn cmd_sweep(args: Vec<String>) -> i32 {
     let mut seed: Option<u64> = None;
     let mut sample_every: Option<u64> = None;
     let mut csv = false;
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => seed = Some(parse_flag_value(&mut args, "--seed", "seed")),
@@ -507,23 +485,14 @@ fn cmd_sweep(args: Vec<String>) -> i32 {
                     "sample cadence",
                 ))
             }
-            "--spec" => {
-                spec_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--spec needs a FILE")),
-                )
-            }
-            "--store" => {
-                store_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--store needs a FILE")),
-                )
-            }
+            "--spec" => spec_path = Some(next_value(&mut args, "--spec")),
+            "--store" => store_path = Some(next_value(&mut args, "--store")),
             "--host-threads" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--host-threads needs a number"));
-                host_threads = Some(parse_num("host-thread count", &v));
+                host_threads = Some(parse_flag_value(
+                    &mut args,
+                    "--host-threads",
+                    "host-thread count",
+                ))
             }
             "--csv" => csv = true,
             other => usage_error(format!("unknown argument `{other}`")),
@@ -558,8 +527,7 @@ fn cmd_sweep(args: Vec<String>) -> i32 {
     }
     let store_path = store_path
         .unwrap_or_else(|| format!("target/dse/{}.jsonl", muchisim::dse::slug(&spec.name)));
-    let host_threads =
-        host_threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(8, |n| n.get()));
+    let host_threads = host_threads.unwrap_or_else(host_parallelism);
 
     let points = match spec.expand() {
         Ok(points) => points,
@@ -629,15 +597,10 @@ fn cmd_report(args: Vec<String>) -> i32 {
     let mut store_path: Option<String> = None;
     let mut overrides: Vec<Override> = Vec::new();
     let mut csv = false;
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--store" => {
-                store_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--store needs a FILE")),
-                )
-            }
+            "--store" => store_path = Some(next_value(&mut args, "--store")),
             "--set" => overrides.push(parse_set(&mut args)),
             "--csv" => csv = true,
             other => usage_error(format!("unknown argument `{other}`")),
@@ -716,13 +679,11 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
     let mut seed: Option<u64> = None;
     let mut overrides: Vec<Override> = Vec::new();
     let mut csv = false;
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--pattern" => {
-                let name: String = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--pattern needs a name"));
+                let name = next_value(&mut args, "--pattern");
                 pattern = TrafficPattern::from_label(&name).unwrap_or_else(|| {
                     usage_error(format!(
                         "unknown pattern `{name}`; choose one of: {}",
@@ -731,9 +692,7 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
                 });
             }
             "--rates" => {
-                let list: String = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--rates needs a comma-separated list"));
+                let list = next_value(&mut args, "--rates");
                 rates = list
                     .split(',')
                     .map(|r| parse_num("offered rate", r.trim()))
@@ -748,11 +707,7 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
                 }
             }
             "--side" => side = parse_flag_value(&mut args, "--side", "grid side"),
-            "--topo" => {
-                topo = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--topo needs a name"))
-            }
+            "--topo" => topo = next_value(&mut args, "--topo"),
             "--threads" => threads = Some(parse_flag_value(&mut args, "--threads", "thread count")),
             "--seed" => seed = Some(parse_flag_value(&mut args, "--seed", "seed")),
             "--csv" => csv = true,
@@ -760,14 +715,13 @@ fn cmd_traffic_sweep(args: Vec<String>) -> i32 {
             other => usage_error(format!("unknown argument `{other}`")),
         }
     }
-    let mut cfg = traffic_config(side, &topo, &overrides);
-    let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
-    // an explicit --set traffic.seed wins, matching `run`'s precedence
+    // --seed is a default: an explicit --set traffic.seed wins, as in `run`
     if let Some(s) = seed {
-        if !overrides.iter().any(|(k, _)| k == "traffic.seed") {
-            cfg.traffic.seed = s;
-        }
+        let value = parse_json_or_string(&s.to_string());
+        overrides.insert(0, ("traffic.seed".to_string(), value));
     }
+    let cfg = traffic_config(side, &topo, &overrides);
+    let threads = threads.unwrap_or_else(|| default_threads(cfg.width()));
     println!(
         "traffic sweep: {} on {side}x{side} {topo}, {} rates, window {} cycles, seed {}",
         pattern.label(),
@@ -826,15 +780,10 @@ fn cmd_traffic_replay(args: Vec<String>) -> i32 {
     let mut side = 16u32;
     let mut threads: Option<usize> = None;
     let mut overrides: Vec<Override> = Vec::new();
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--trace" => {
-                trace_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--trace needs a FILE")),
-                )
-            }
+            "--trace" => trace_path = Some(next_value(&mut args, "--trace")),
             "--side" => side = parse_flag_value(&mut args, "--side", "grid side"),
             "--threads" => threads = Some(parse_flag_value(&mut args, "--threads", "thread count")),
             "--set" => overrides.push(parse_set(&mut args)),
@@ -921,7 +870,67 @@ fn emit(text: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::default_threads;
+    use super::{apply_to_config, default_threads, parse_run_args, SystemConfig};
+
+    fn run_args(args: &[&str]) -> super::RunArgs {
+        parse_run_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn run_flags_expand_after_the_defaults_in_command_line_order() {
+        let run = run_args(&[
+            "bfs",
+            "--checkpoint",
+            "snap",
+            "--set",
+            "checkpoint_every=50",
+            "--checkpoint-every",
+            "7",
+            "--seed",
+            "9",
+            "--metrics",
+            "1024",
+            "--no-active-list",
+            "5",
+        ]);
+        assert_eq!(run.positional, ["bfs", "5"]);
+        assert_eq!(run.seed, Some(9));
+        let keys: Vec<&str> = run.overrides.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                // defaults first...
+                "checkpoint_every",
+                "telemetry.sample_every",
+                "traffic.seed",
+                // ...then the command line, in order
+                "checkpoint_path",
+                "checkpoint_every",
+                "checkpoint_every",
+                "telemetry.metrics_path",
+                "active_list",
+            ]
+        );
+        let cfg = apply_to_config(&SystemConfig::default(), &run.overrides).unwrap();
+        assert_eq!(cfg.checkpoint_every, Some(7), "the last assignment wins");
+        assert_eq!(cfg.checkpoint_path.as_deref(), Some("snap"));
+        assert_eq!(
+            cfg.telemetry.metrics_path.as_deref(),
+            Some("1024"),
+            "path flags store their argument verbatim"
+        );
+        assert_eq!(cfg.telemetry.sample_every, Some(1024));
+        assert_eq!(cfg.traffic.seed, 9);
+        assert!(!cfg.active_list);
+
+        // an explicit assignment beats a default wherever it appears
+        let run = run_args(&["bfs", "--set", "traffic.seed=5", "--seed", "9"]);
+        let cfg = apply_to_config(&SystemConfig::default(), &run.overrides).unwrap();
+        assert_eq!(cfg.traffic.seed, 5);
+        assert_eq!(run.seed, Some(9));
+        // no checkpoint path, no telemetry key: no defaults
+        assert_eq!(run_args(&["bfs", "--resume"]).overrides.len(), 1);
+    }
 
     #[test]
     fn default_threads_is_never_zero_nor_above_the_column_count() {

@@ -1,5 +1,5 @@
-//! Checkpoint/resume under the `MUCHISIM_NO_LEAP` x
-//! `MUCHISIM_NO_ACTIVE_LIST` kill-switch matrix.
+//! Checkpoint/resume under the `time_leap` x `active_list` kill-switch
+//! matrix, set through the `MUCHISIM_SET` environment variable.
 //!
 //! A snapshot written under the default (leaping, worklist-enabled)
 //! driver must resume bit-identically under every kill-switch
@@ -33,17 +33,20 @@ fn run(c: SystemConfig, graph: &Arc<Csr>) -> SimResult {
     r
 }
 
-/// Sets/unsets the two kill switches to match `(leap_off, active_off)`.
+/// Sets `MUCHISIM_SET` to turn off the knobs flagged in
+/// `(leap_off, active_off)`, or unsets it when neither is.
 fn set_switches(leap_off: bool, active_off: bool) {
-    for (name, off) in [
-        ("MUCHISIM_NO_LEAP", leap_off),
-        ("MUCHISIM_NO_ACTIVE_LIST", active_off),
-    ] {
-        if off {
-            std::env::set_var(name, "1");
-        } else {
-            std::env::remove_var(name);
-        }
+    let set: Vec<&str> = [
+        ("time_leap=false", leap_off),
+        ("active_list=false", active_off),
+    ]
+    .into_iter()
+    .filter_map(|(assignment, off)| off.then_some(assignment))
+    .collect();
+    if set.is_empty() {
+        std::env::remove_var("MUCHISIM_SET");
+    } else {
+        std::env::set_var("MUCHISIM_SET", set.join(","));
     }
 }
 
